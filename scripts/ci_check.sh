@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 test suite + a tiny-scale throughput-bench smoke run.
+# CI gate: tier-1 test suite, a tiny-scale throughput-bench smoke run, the
+# benchmark suite's self-tests, and end-to-end smokes of each subsystem.
 #
 # The bench smoke run both exercises the search/pretrain/zero-shot loops
 # end-to-end (catching integration breaks the unit suite can miss) and
@@ -18,6 +19,13 @@ python -m pytest -x -q
 echo "== throughput bench (tiny smoke, 2-worker pool) =="
 timeout --kill-after=30 300 \
     python benchmarks/bench_search_throughput.py --tiny --workers 2
+
+echo "== benchmark suite self-tests (smoke run of every workload) =="
+# The suite's tests drive every workload through run.py's own checks:
+# bit-identical rounds, re-evaluated improvement, validated partitions.
+# So a solver change that breaks determinism fails the gate here.  Hard
+# timeout: a wedged workload server must fail the gate fast.
+timeout --kill-after=15 300 python -m pytest benchmarks/suite -q
 
 echo "== float32 backend smoke (fused kernels vs float64 reference) =="
 # A tiny search at both precisions from the same seed: the float32 fused

@@ -310,6 +310,7 @@ class ConstraintSolver:
 
     def is_fixed(self, node: int) -> bool:
         """True when the node's domain is a single chip."""
+        self._check_node(node)
         return bool(self._fixed_set >> node & 1)
 
     def _fixed_value(self, node: int) -> int:
@@ -327,6 +328,7 @@ class ConstraintSolver:
         it is what lets the solver handle production-size graphs without
         CP-SAT-style clause learning.
         """
+        self._check_node(node)
         mask = self._domain_mask(node)
         if mask & (mask - 1) == 0:
             return _mask_to_values(mask)
@@ -474,6 +476,7 @@ class ConstraintSolver:
         values at the surviving level, and popping decisions as needed —
         and returns the new (smaller) decision count.
         """
+        self._check_node(node)
         mask_req = self._to_mask(values)
         snap = self._snapshot()
         try:
@@ -487,6 +490,12 @@ class ConstraintSolver:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.graph.n_nodes:
+            raise ValueError(
+                f"node id {node} out of range [0, {self.graph.n_nodes})"
+            )
+
     def _to_mask(self, values: "int | Iterable[int]") -> int:
         if isinstance(values, (int, np.integer)):
             v = int(values)
@@ -536,6 +545,20 @@ class ConstraintSolver:
         Rounds repeat until nothing changes; conflicts (an emptied domain,
         an uncoverable chip, a violated triangle) raise :class:`_Conflict`
         and the caller rewinds via snapshot.
+
+        Step (3) obeys an ordering rule: the round's newly fixed nodes are
+        taken in ascending node order, and each one's neighbour sets are
+        masked by the triangle tables of the chip adjacency left by its own
+        new edges and those of every lower-numbered node, never a
+        higher-numbered one.  New edges tighten the tables, and with
+        ``triangle_frontier`` off (the default above 4 chips) nothing
+        re-applies the tighter masks to nodes fixed before the edge, so
+        reordering the wave changes results.  The step is batched without
+        breaking the rule because ``avail`` is not written until the wave
+        ends: neighbour sets are OR-ed into per-chip accumulators, pushed
+        through the masks just before a node adds an edge the adjacency
+        lacks (and once at the end), and the gathered exclusions are
+        applied in one pass.
         """
         avail = self._avail
         full = self._full
@@ -604,9 +627,10 @@ class ConstraintSolver:
             if ge1 != full:
                 raise _Conflict
 
-            # Newly fixed nodes: record chip edges (second endpoint to fix
-            # adds the edge, preserving multiset semantics) and apply the
-            # one-hop triangle masks to direct neighbours.
+            # Newly fixed nodes, in ascending node order: record chip edges
+            # (second endpoint to fix adds the edge, preserving multiset
+            # semantics) and gather the one-hop triangle masks of direct
+            # neighbours into per-chip exclusions, applied once below.
             new_fixed = ge1 & ~ge2 & ~self._fixed_set
             if new_fixed:
                 values = self._values
@@ -616,44 +640,56 @@ class ConstraintSolver:
                         b = hit & -hit
                         values[b.bit_length() - 1] = d
                         hit ^= b
+                succ_bits = self._succ_bits
+                pred_bits = self._pred_bits
+                excl = [0] * c
+                # Neighbour sets gathered under the current adjacency and
+                # not yet pushed through its masks.
+                acc_s = [0] * c
+                acc_p = [0] * c
+                fixed = self._fixed_set
                 nf = new_fixed
                 while nf:
                     b = nf & -nf
                     nf ^= b
                     u = b.bit_length() - 1
-                    self._fixed_set |= b
+                    fixed |= b
                     value = values[u]
-                    fixed = self._fixed_set
-                    for w in self._succs[u]:
-                        if fixed >> w & 1:
-                            other = values[w]
-                            if other != value:
-                                self._add_chip_edge(value, other)
-                    for w in self._preds[u]:
-                        if fixed >> w & 1:
-                            other = values[w]
-                            if other != value:
-                                self._add_chip_edge(other, value)
-                    sb = self._succ_bits[u]
-                    if sb:
-                        self._succ_frontier[value] |= sb
-                        sm = self._successor_mask(value)
-                        for d in range(c):
-                            if not (sm >> d & 1):
-                                old = avail[d]
-                                if old & sb:
-                                    avail[d] = old & ~sb
-                                    changed = True
-                    pb = self._pred_bits[u]
-                    if pb:
-                        self._pred_frontier[value] |= pb
-                        pm = self._predecessor_mask(value)
-                        for d in range(c):
-                            if not (pm >> d & 1):
-                                old = avail[d]
-                                if old & pb:
-                                    avail[d] = old & ~pb
-                                    changed = True
+                    sb = succ_bits[u]
+                    pb = pred_bits[u]
+                    # Every fixed node is a singleton in ``avail`` (which
+                    # this loop does not write), so these are exactly the
+                    # fixed neighbours on another chip.
+                    cross = (sb | pb) & fixed & ~avail[value]
+                    if cross:
+                        edges = [
+                            (value, values[w])
+                            for w in self._succs[u]
+                            if cross >> w & 1
+                        ]
+                        edges += [
+                            (values[w], value)
+                            for w in self._preds[u]
+                            if cross >> w & 1
+                        ]
+                        # An edge the adjacency lacks changes the masks, so
+                        # the lower-numbered nodes' sets go through the old
+                        # ones first.
+                        adj = self._adj_mask
+                        if any(not adj >> (x * c + y) & 1 for x, y in edges):
+                            self._gather_exclusions(acc_s, acc_p, excl)
+                            acc_s = [0] * c
+                            acc_p = [0] * c
+                        for x, y in edges:
+                            self._add_chip_edge(x, y)
+                    self._succ_frontier[value] |= sb
+                    self._pred_frontier[value] |= pb
+                    acc_s[value] |= sb
+                    acc_p[value] |= pb
+                self._fixed_set = fixed
+                self._gather_exclusions(acc_s, acc_p, excl)
+                if self._exclude(excl):
+                    changed = True
 
             if not changed:
                 # At fixpoint, re-apply the one-hop triangle masks of *all*
@@ -670,25 +706,11 @@ class ConstraintSolver:
                 ):
                     reapplied = True
                     applied_adj = self._adj_mask
-                    for ch in range(c):
-                        fr = self._succ_frontier[ch]
-                        if fr:
-                            sm = self._successor_mask(ch)
-                            for d in range(c):
-                                if not (sm >> d & 1):
-                                    old = avail[d]
-                                    if old & fr:
-                                        avail[d] = old & ~fr
-                                        changed = True
-                        fr = self._pred_frontier[ch]
-                        if fr:
-                            pm = self._predecessor_mask(ch)
-                            for d in range(c):
-                                if not (pm >> d & 1):
-                                    old = avail[d]
-                                    if old & fr:
-                                        avail[d] = old & ~fr
-                                        changed = True
+                    excl = [0] * c
+                    self._gather_exclusions(
+                        self._succ_frontier, self._pred_frontier, excl
+                    )
+                    changed = self._exclude(excl)
                 if not changed:
                     break
 
@@ -710,6 +732,42 @@ class ConstraintSolver:
             self._new_edges = False
             if self._tables()["violated"]:
                 raise _Conflict
+
+    def _gather_exclusions(
+        self, succ_sets: "list[int]", pred_sets: "list[int]", excl: "list[int]"
+    ) -> None:
+        """OR per-chip neighbour sets into the chips they are masked off.
+
+        ``succ_sets[ch]`` (``pred_sets[ch]``) holds successors
+        (predecessors) of nodes fixed at ``ch``; each set is excluded from
+        every chip outside the current adjacency's ``_successor_mask(ch)``
+        (``_predecessor_mask(ch)``) by ORing it into ``excl``.
+        """
+        chips = (1 << self.n_chips) - 1
+        for per_chip, mask_of in (
+            (succ_sets, self._successor_mask),
+            (pred_sets, self._predecessor_mask),
+        ):
+            for ch, nodes in enumerate(per_chip):
+                if nodes:
+                    off = chips & ~mask_of(ch)
+                    while off:
+                        d_bit = off & -off
+                        excl[d_bit.bit_length() - 1] |= nodes
+                        off ^= d_bit
+
+    def _exclude(self, excl: "list[int]") -> bool:
+        """Drop ``excl[d]`` from ``avail[d]`` for every chip; True if any
+        domain shrank."""
+        avail = self._avail
+        changed = False
+        for d, e in enumerate(excl):
+            if e:
+                old = avail[d]
+                if old & e:
+                    avail[d] = old & ~e
+                    changed = True
+        return changed
 
     def _propagate_general(self) -> None:
         """Reachability propagation for non-total-order topologies.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs.zoo import build_mlp
 from repro.solver.constraints import validate_partition
 from repro.solver.engine import ConstraintSolver
 from tests.conftest import random_dag
@@ -54,6 +55,25 @@ class TestDomains:
         s = ConstraintSolver(chain_graph, 4)
         with pytest.raises(ValueError):
             s.set_domain(0, 7)
+
+    def test_rejects_out_of_range_node(self):
+        # An unchecked id past the end used to empty a phantom domain,
+        # which read as a conflict and popped a real decision; a negative
+        # id raised a bare "negative shift count".
+        g = build_mlp()
+        s = ConstraintSolver(g, 4)
+        assert s.set_domain(0, 0) == 1
+        assert s.set_domain(1, 0) == 2
+        before = s.get_domain(1).tolist()
+        for node in (g.n_nodes, g.n_nodes + 5, -1):
+            with pytest.raises(ValueError, match="node id"):
+                s.set_domain(node, 1)
+            with pytest.raises(ValueError, match="node id"):
+                s.get_domain(node)
+            with pytest.raises(ValueError, match="node id"):
+                s.is_fixed(node)
+        assert s.n_decisions == 2
+        assert s.get_domain(1).tolist() == before
 
     def test_rejects_too_many_chips(self, chain_graph):
         with pytest.raises(ValueError):

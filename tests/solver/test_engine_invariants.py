@@ -1,6 +1,7 @@
 """Invariant tests: the engine's bookkeeping survives conflicts and resets."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,13 +59,46 @@ def test_cover_counts_match_masks(seed, n_nodes):
             assert solver._cover[d] == expected
 
 
+def _recomputed_wave_state(solver: ConstraintSolver, g):
+    """Edge multiset, adjacency bitmask and per-chip neighbour frontiers,
+    rebuilt from scratch out of the fixed nodes' values (each constraint
+    edge counted once; edges out of replicable constants are exempt)."""
+    c = solver.n_chips
+    value = {
+        u: solver._masks[u].bit_length() - 1
+        for u in range(g.n_nodes)
+        if solver.is_fixed(u)
+    }
+    edges = np.zeros((c, c), dtype=np.int64)
+    succ_frontier = [0] * c
+    pred_frontier = [0] * c
+    replicable = g.is_replicable()
+    for s_, d_ in zip(g.src.tolist(), g.dst.tolist()):
+        if replicable[s_]:
+            continue
+        if s_ in value:
+            succ_frontier[value[s_]] |= 1 << d_
+        if d_ in value:
+            pred_frontier[value[d_]] |= 1 << s_
+        if s_ in value and d_ in value and value[s_] != value[d_]:
+            edges[value[s_], value[d_]] += 1
+    adj_mask = 0
+    for a, b in zip(*np.nonzero(edges)):
+        adj_mask |= 1 << (int(a) * c + int(b))
+    return edges, adj_mask, succ_frontier, pred_frontier
+
+
+@pytest.mark.parametrize("n_chips", [3, 5, 8])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2000), n_nodes=st.integers(3, 16))
-def test_edge_counts_match_fixed_pairs(seed, n_nodes):
-    """The chip-edge multiset must equal the cross-chip edges among fixed
-    node pairs (each graph edge counted once)."""
+def test_edge_counts_match_fixed_pairs(n_chips, seed, n_nodes):
+    """After every decision, the chip-edge multiset, its adjacency
+    bitmask and the per-chip neighbour frontiers must equal a from-scratch
+    recomputation over the fixed nodes -- across conflicts, back-tracks and
+    both settings of the eager frontier re-application (on by default at
+    3 chips, off at 5 and 8)."""
     g = random_dag(seed, n_nodes)
-    solver = ConstraintSolver(g, 3)
+    solver = ConstraintSolver(g, n_chips)
     rng = np.random.default_rng(seed)
     for _ in range(n_nodes):
         u = int(rng.integers(0, n_nodes))
@@ -72,17 +106,13 @@ def test_edge_counts_match_fixed_pairs(seed, n_nodes):
             continue
         dom = solver.get_domain(u)
         solver.set_domain(u, int(rng.choice(dom)))
-    expected = np.zeros((3, 3), dtype=np.int64)
-    replicable = g.is_replicable()
-    for s_, d_ in zip(g.src.tolist(), g.dst.tolist()):
-        if replicable[s_]:
-            continue
-        if solver.is_fixed(s_) and solver.is_fixed(d_):
-            a = solver._masks[s_].bit_length() - 1
-            b = solver._masks[d_].bit_length() - 1
-            if a != b:
-                expected[a, b] += 1
-    np.testing.assert_array_equal(solver._edge_count, expected)
+        edges, adj_mask, succ_frontier, pred_frontier = _recomputed_wave_state(
+            solver, g
+        )
+        np.testing.assert_array_equal(solver._edge_count, edges)
+        assert solver._adj_mask == adj_mask
+        assert solver._succ_frontier == succ_frontier
+        assert solver._pred_frontier == pred_frontier
 
 
 @settings(max_examples=15, deadline=None)
