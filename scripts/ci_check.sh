@@ -79,6 +79,18 @@ timeout --kill-after=15 120 env PYTHONPATH=src python -m repro partition mlp \
     --topology biring --chips 3 --method random --samples 4 --seed 0 \
     > /dev/null
 
+echo "== 8-chip uni-ring smoke (bert RL search, then validate its output) =="
+# The solver's heaviest CLI path, and the one where the eager triangle
+# frontier is off by default (above 4 chips): a short RL search on the
+# 246-node bert graph must finish and write a partition that `validate`
+# accepts.  Hard timeout: a solver that stalls fails the gate fast.
+tmp="$(mktemp --suffix=.npy)"
+timeout --kill-after=15 120 env PYTHONPATH=src python -m repro partition bert \
+    --chips 8 --samples 30 --seed 0 --output "$tmp" > /dev/null
+timeout --kill-after=15 120 env PYTHONPATH=src python -m repro validate bert \
+    "$tmp" --chips 8
+rm -f "$tmp"
+
 echo "== serve smoke (HTTP server, 2 requests, metrics) =="
 # Start the serving endpoint, issue two identical requests over HTTP (the
 # second must be a cache hit), assert the metrics counters, and shut down

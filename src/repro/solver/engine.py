@@ -18,11 +18,13 @@ Propagation covers the three static constraints:
 * **No skipping chips** (Eq. 3) is tracked through per-chip coverage (which
   nodes could still land on chip ``d``); a chip below the largest forced
   lower bound with zero coverage is a dead end, and on a complete
-  assignment the check is exact.
+  assignment the check is exact.  Every propagation round tests it right
+  after the empty-domain test.
 * **Triangle dependency** (Eq. 4) is tracked through an incrementally
   maintained chip-dependency edge multiset; since edges are only added as
   nodes become fixed, any longest-path violation among current edges is
-  permanent and triggers an immediate back-track.
+  permanent and triggers an immediate back-track: the wave tests it as
+  soon as a newly fixed node adds a chip edge.
 
 Internally the domain state is stored *chip-major*: one node-set bitmask
 (an arbitrary-precision int, one bit per node) per chip, rather than one
@@ -80,6 +82,23 @@ def _mask_to_values(mask: int) -> np.ndarray:
 
 class _Conflict(Exception):
     """Internal signal: the current restriction emptied a domain or broke Eq. 3/4."""
+
+
+def _skips_chip(avail: "list[int]", full: int) -> bool:
+    """True when Eq. 3 can no longer hold: some chip ``d`` has no node left
+    while a node's lower bound lies above ``d`` (``avail[0..d]`` misses it).
+
+    Monotone as domains shrink (lower bounds only rise, an empty chip
+    stays empty), so a propagation wave may test it every round.
+    """
+    acc = 0
+    for a in avail[:-1]:
+        acc |= a
+        if acc == full:
+            return False
+        if not a:
+            return True
+    return False
 
 
 class ConstraintSolver:
@@ -224,7 +243,6 @@ class ConstraintSolver:
         # of driver steps later.
         self._succ_frontier: list[int] = [0] * self.n_chips
         self._pred_frontier: list[int] = [0] * self.n_chips
-        self._max_lo = 0
         self._edge_count = np.zeros((self.n_chips, self.n_chips), dtype=np.int64)
         self._adj_mask = 0  # bit a*C+b set iff _edge_count[a, b] > 0
         # Per-branch closure memory: nodes whose descendant (ancestor)
@@ -233,7 +251,6 @@ class ConstraintSolver:
         self._done_lo: list[int] = [0] * self.n_chips
         self._done_hi: list[int] = [0] * self.n_chips
         self._decisions: list[tuple] = []  # (node, tried_mask, snapshot)
-        self._new_edges = False
         # Triangle tables memoised by the adjacency bitmask: back-tracking
         # revisits the same chip graphs constantly, so keying the cache by
         # the adjacency itself (not a version counter) gives high hit rates.
@@ -247,7 +264,6 @@ class ConstraintSolver:
         return (
             list(self._avail),
             self._fixed_set,
-            self._max_lo,
             self._edge_count.copy(),
             self._adj_mask,
             list(self._done_lo),
@@ -261,7 +277,6 @@ class ConstraintSolver:
         (
             self._avail,
             self._fixed_set,
-            self._max_lo,
             self._edge_count,
             self._adj_mask,
             self._done_lo,
@@ -271,15 +286,13 @@ class ConstraintSolver:
         ) = (
             list(snap[0]),
             snap[1],
-            snap[2],
-            snap[3].copy(),
-            snap[4],
+            snap[2].copy(),
+            snap[3],
+            list(snap[4]),
             list(snap[5]),
             list(snap[6]),
             list(snap[7]),
-            list(snap[8]),
         )
-        self._new_edges = False
         self._tables_dirty = True
 
     # ------------------------------------------------------------------
@@ -535,16 +548,21 @@ class ConstraintSolver:
             self._propagate()
 
     def _propagate(self) -> None:
-        """Word-parallel propagation to fixpoint, then the global checks.
+        """Word-parallel propagation to fixpoint, failing at the first
+        certain conflict.
 
         Each round applies (1) the transitive lower-bound closure — nodes
         whose lower bound exceeds ``d`` drag all their descendants off
         chips ``<= d`` via the precomputed descendant bitmasks, (2) the
-        symmetric upper-bound closure over ancestors, and (3) triangle
-        restrictions and chip-edge bookkeeping for newly fixed nodes.
-        Rounds repeat until nothing changes; conflicts (an emptied domain,
-        an uncoverable chip, a violated triangle) raise :class:`_Conflict`
-        and the caller rewinds via snapshot.
+        symmetric upper-bound closure over ancestors, then tests for an
+        emptied domain and an uncoverable chip (Eq. 3), and (3) applies
+        triangle restrictions and chip-edge bookkeeping for newly fixed
+        nodes, testing Eq. 4 whenever a node adds a chip edge the
+        adjacency lacks.  Rounds repeat until nothing changes.  A failed
+        test raises :class:`_Conflict` and the caller rewinds via
+        snapshot.  All three tests are monotone within the wave, so
+        raising mid-wave rejects exactly what a test at the fixpoint
+        would.
 
         Step (3) obeys an ordering rule: the round's newly fixed nodes are
         taken in ascending node order, and each one's neighbour sets are
@@ -616,15 +634,16 @@ class ConstraintSolver:
                                 avail[d2] = old & ~rem
                                 changed = True
 
-            # An emptied domain conflicts; check before the (costlier)
-            # fixed-node processing so doomed waves abort early.
+            # An emptied domain or an uncoverable chip conflicts; check
+            # before the (costlier) fixed-node processing so doomed waves
+            # abort early.
             ge1 = 0
             ge2 = 0
             for d in range(c):
                 a = avail[d]
                 ge2 |= ge1 & a
                 ge1 |= a
-            if ge1 != full:
+            if ge1 != full or _skips_chip(avail, full):
                 raise _Conflict
 
             # Newly fixed nodes, in ascending node order: record chip edges
@@ -674,7 +693,9 @@ class ConstraintSolver:
                         ]
                         # An edge the adjacency lacks changes the masks, so
                         # the lower-numbered nodes' sets go through the old
-                        # ones first.
+                        # ones first; the new adjacency's tables, needed by
+                        # the next flush anyway, say at once whether it
+                        # violates Eq. 4.
                         adj = self._adj_mask
                         if any(not adj >> (x * c + y) & 1 for x, y in edges):
                             self._gather_exclusions(acc_s, acc_p, excl)
@@ -682,6 +703,8 @@ class ConstraintSolver:
                             acc_p = [0] * c
                         for x, y in edges:
                             self._add_chip_edge(x, y)
+                        if self._adj_mask != adj and self._tables()["violated"]:
+                            raise _Conflict
                     self._succ_frontier[value] |= sb
                     self._pred_frontier[value] |= pb
                     acc_s[value] |= sb
@@ -713,25 +736,6 @@ class ConstraintSolver:
                     changed = self._exclude(excl)
                 if not changed:
                     break
-
-        # No-skipping: every chip below the largest forced lower bound must
-        # still be coverable by some node.
-        acc = 0
-        max_lo = 0
-        for d in range(c - 1):
-            acc |= avail[d]
-            if full & ~acc:
-                max_lo = d + 1
-        self._max_lo = max_lo
-        for d in range(max_lo):
-            if avail[d] == 0:
-                raise _Conflict
-
-        # Triangle dependency among currently fixed cross-chip edges.
-        if self._new_edges:
-            self._new_edges = False
-            if self._tables()["violated"]:
-                raise _Conflict
 
     def _gather_exclusions(
         self, succ_sets: "list[int]", pred_sets: "list[int]", excl: "list[int]"
@@ -788,7 +792,7 @@ class ConstraintSolver:
         once the chip-dependency graph may legally contain cycles.  The
         no-skipping rule (Eq. 3) is a chip-*allocation* rule, independent of
         the interconnect, and is checked the same way as in the ordered
-        engine.
+        engine: every round, right after the empty-domain test.
         """
         avail = self._avail
         full = self._full
@@ -844,7 +848,7 @@ class ConstraintSolver:
                 a = avail[d]
                 ge2 |= ge1 & a
                 ge1 |= a
-            if ge1 != full:
+            if ge1 != full or _skips_chip(avail, full):
                 raise _Conflict
             if not changed:
                 break
@@ -862,19 +866,6 @@ class ConstraintSolver:
                     hit ^= b
             self._fixed_set |= new_fixed
 
-        # No-skipping (Eq. 3): every chip below the largest forced lower
-        # bound must still be coverable by some node.
-        acc = 0
-        max_lo = 0
-        for d in range(c - 1):
-            acc |= avail[d]
-            if full & ~acc:
-                max_lo = d + 1
-        self._max_lo = max_lo
-        for d in range(max_lo):
-            if avail[d] == 0:
-                raise _Conflict
-
     def _add_chip_edge(self, a: int, b: int) -> None:
         if b < a:
             # Bounds propagation makes this unreachable, but guard anyway.
@@ -882,7 +873,6 @@ class ConstraintSolver:
         self._edge_count[a, b] += 1
         if self._edge_count[a, b] == 1:
             self._adj_mask |= 1 << (a * self.n_chips + b)
-            self._new_edges = True
             self._tables_dirty = True
 
     def _resolve_conflict(self, node: int, tried_mask: int) -> int:

@@ -24,6 +24,7 @@ from repro.graphs.zoo import build_dataset
 from repro.graphs.zoo.transformer import build_transformer
 from repro.hardware.analytical import AnalyticalCostModel
 from repro.hardware.package import MCMPackage
+from repro.hardware.topology import Mesh2D
 from repro.rl.ppo import PPOConfig
 from repro.solver.engine import ConstraintSolver, Unsatisfiable
 from repro.solver.strategies import fix_partition, sample_partition
@@ -60,6 +61,25 @@ GOLDEN_BERT8_DIGEST = {
 GOLDEN_STEPS8_DIGEST = (
     "cee34352e0ce431c0fdb0a080de6bc798ad3d3276ce2e19293863b13f41592e3"
 )
+# The same digest on the other solver paths, keyed by test id: the eager
+# frontier re-application (on by default at 4 chips, forced on at 8), a
+# chip count where it is off, and the reachability-generalised engine on
+# a non-total-order topology.  Recorded while Eq. 3 and Eq. 4 were still
+# checked only at the end of each propagation wave.
+GOLDEN_STEPS_DIGESTS = {
+    "4chips": (
+        "0921a7083c6784c984b9129af7bcf77fa06d81961585101e6c91d578e214a789"
+    ),
+    "5chips": (
+        "c2a58f96b9c5153aa4b6f10e048fd867257a70adee5a62e0cc4743e6d8840000"
+    ),
+    "8chips-frontier": (
+        "f4bb2635611567b58b732fddfcddae6e6d5c2467e30399dc2c7e3e35effff08f"
+    ),
+    "mesh2x3": (
+        "8e6c3b8ec0e0dae0cc43a2a8475a97e9a861cbe6a7329ea83d99d6ee20dcaa56"
+    ),
+}
 
 
 def _weight_l1(partitioner) -> float:
@@ -94,14 +114,18 @@ def _bert8_draws(triangle_frontier) -> np.ndarray:
     return np.stack(outs).astype(np.int64)
 
 
-def _step_trace(seed: int, n_chips: int) -> "list[int]":
+def _step_trace(
+    seed: int, n_chips: int, triangle_frontier=None, topology=None
+) -> "list[int]":
     """Every ``get_domain`` answer and ``set_domain`` return of a seeded
     random decision loop (10% two-value restrictions) on a random DAG.  Unlike
     the sampling goldens this pins each step, including the ones where a
     node fixed mid-wave adds a chip edge that changes the triangle masks
     seen by the nodes after it."""
     g = random_dag(seed, 3 + seed % 38, edge_prob=[0.1, 0.25, 0.4][seed % 3])
-    solver = ConstraintSolver(g, n_chips)
+    solver = ConstraintSolver(
+        g, n_chips, triangle_frontier=triangle_frontier, topology=topology
+    )
     rng = np.random.default_rng(seed)
     order = g.random_topological_order(rng)
     trace = []
@@ -169,3 +193,17 @@ class TestSerialGoldens:
             trace = _step_trace(seed, 8)
             digest.update(np.asarray(trace, dtype=np.int64).tobytes())
         assert digest.hexdigest() == GOLDEN_STEPS8_DIGEST
+
+    @pytest.mark.parametrize(
+        "n_chips, triangle_frontier, topology",
+        [(4, None, None), (5, None, None), (8, True, None), (6, None, Mesh2D(2, 3))],
+        ids=list(GOLDEN_STEPS_DIGESTS),
+    )
+    def test_solver_step_trace_variants(
+        self, request, n_chips, triangle_frontier, topology
+    ):
+        digest = hashlib.sha256()
+        for seed in range(24):
+            trace = _step_trace(seed, n_chips, triangle_frontier, topology)
+            digest.update(np.asarray(trace, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == GOLDEN_STEPS_DIGESTS[request.node.callspec.id]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solver.constraints import validate_partition
-from repro.solver.engine import ConstraintSolver
+from repro.solver.engine import ConstraintSolver, _skips_chip
 from tests.conftest import random_dag
 
 
@@ -14,7 +14,6 @@ def _bookkeeping_snapshot(solver: ConstraintSolver):
     return (
         list(solver._masks),
         list(solver._cover),
-        solver._max_lo,
         solver._edge_count.copy(),
     )
 
@@ -37,8 +36,7 @@ def test_reset_restores_pristine_state(seed, n_nodes):
     after = _bookkeeping_snapshot(solver)
     assert after[0] == pristine[0]
     assert after[1] == pristine[1]
-    assert after[2] == pristine[2]
-    np.testing.assert_array_equal(after[3], pristine[3])
+    np.testing.assert_array_equal(after[2], pristine[2])
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,3 +133,46 @@ def test_completion_after_heavy_conflicts_is_valid(seed, n_nodes):
         i = solver.set_domain(u, int(dom.max()))
     if i >= n_nodes:
         assert validate_partition(g, solver.assignment(), 3).ok
+
+
+@st.composite
+def _chip_domains(draw):
+    """Chip-major domains (``avail[d]`` = nodes that may sit on chip ``d``)
+    in which every node keeps at least one chip, plus the node-set mask."""
+    n_chips = draw(st.integers(1, 8))
+    n_nodes = draw(st.integers(1, 10))
+    node_masks = draw(
+        st.lists(
+            st.integers(1, (1 << n_chips) - 1), min_size=n_nodes, max_size=n_nodes
+        )
+    )
+    avail = [
+        sum(1 << u for u, m in enumerate(node_masks) if m >> d & 1)
+        for d in range(n_chips)
+    ]
+    return avail, (1 << n_nodes) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains=_chip_domains())
+def test_no_skipping_test_matches_its_definition(domains):
+    """Eq. 3 can no longer hold iff an empty chip lies below the largest
+    lower bound (a node's lowest possible chip)."""
+    avail, full = domains
+    lower = [
+        min(d for d, a in enumerate(avail) if a >> u & 1)
+        for u in range(full.bit_length())
+    ]
+    expected = any(avail[d] == 0 for d in range(max(lower)))
+    assert _skips_chip(avail, full) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(domains=_chip_domains(), data=st.data())
+def test_no_skipping_rejection_survives_shrinking(domains, data):
+    """Once the no-skipping test rejects ``avail`` it rejects every
+    pointwise subset: what lets the propagation wave test it every round."""
+    avail, full = domains
+    subset = [a & data.draw(st.integers(0, full)) for a in avail]
+    if _skips_chip(avail, full):
+        assert _skips_chip(subset, full)

@@ -83,3 +83,20 @@ def test_tables_memo_hit_on_same_adjacency():
     solver._tables_dirty = True  # simulate an undo returning to this state
     entry2 = solver._tables()
     assert entry1 is entry2  # memoised by packed adjacency
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 8),
+    density=st.floats(0.0, 0.6),
+    extra=st.floats(0.0, 0.6),
+)
+def test_violated_flag_is_monotone_under_added_edges(seed, n, density, extra):
+    """A superset of a violating upward adjacency still violates Eq. 4:
+    what lets the propagation wave fail at its first violating edge."""
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < density, k=1)
+    superset = adj | np.triu(rng.random((n, n)) < extra, k=1)
+    if _engine_with_adjacency(adj)._tables()["violated"]:
+        assert _engine_with_adjacency(superset)._tables()["violated"]
