@@ -91,17 +91,41 @@ timeout --kill-after=15 120 env PYTHONPATH=src python -m repro validate bert \
     "$tmp" --chips 8
 rm -f "$tmp"
 
-echo "== serve smoke (HTTP server, 2 requests, metrics) =="
+echo "== serve smoke (HTTP server, 3 requests, metrics) =="
 # Start the serving endpoint, issue two identical requests over HTTP (the
-# second must be a cache hit), assert the metrics counters, and shut down
-# cleanly — all under a hard timeout so a wedged server fails the gate
-# fast.  Exercises the full serve stack end-to-end: fingerprinting, the
-# partition cache, the warm pool, the JSON endpoint, and /metrics.
+# second must be a cache hit), then a node-permuted inline copy of the
+# same graph (a canonical-form memo miss: the WL pass and the remap run,
+# and it must still hit, placing every named node where the first answer
+# did), assert the metrics counters, and shut down cleanly — all under a
+# hard timeout so a wedged server fails the gate fast.  Exercises the full
+# serve stack end-to-end: fingerprinting, the partition cache, the warm
+# pool, the JSON endpoint, and /metrics.
 timeout --kill-after=15 120 env PYTHONPATH=src python - <<'PY'
+import numpy as np
+
 from repro.cli import _resolve_zoo_graph
+from repro.graphs.graph import CompGraph
+from repro.graphs.serialization import graph_to_dict
+from repro.graphs.zoo import build_mlp
 from repro.serve import (
     PartitionServer, PartitionService, ServiceConfig,
     fetch_metrics, request_partition,
+)
+
+mlp = build_mlp()
+perm = np.random.default_rng(0).permutation(mlp.n_nodes)
+assert (perm != np.arange(mlp.n_nodes)).any()
+new_id = np.empty_like(perm)
+new_id[perm] = np.arange(mlp.n_nodes)
+permuted = CompGraph(
+    names=tuple(mlp.names[u] for u in perm),
+    op_types=mlp.op_types[perm],
+    compute_us=mlp.compute_us[perm],
+    output_bytes=mlp.output_bytes[perm],
+    param_bytes=mlp.param_bytes[perm],
+    src=new_id[mlp.src],
+    dst=new_id[mlp.dst],
+    name=mlp.name,
 )
 
 # Wired exactly like `repro serve`: the zoo-names-only resolver (a network
@@ -113,11 +137,18 @@ with PartitionServer(service, port=0, graph_resolver=_resolve_zoo_graph).start()
     second = request_partition({"graph": "mlp", "chips": 4}, port=server.port)
     assert second["cached"] is True, second
     assert second["assignment"] == first["assignment"]
+    third = request_partition(
+        {"graph": graph_to_dict(permuted), "chips": 4}, port=server.port
+    )
+    assert third["cached"] is True, third
+    by_name = dict(zip(mlp.names, first["assignment"]))
+    assert third["assignment"] == [by_name[n] for n in permuted.names], third
     metrics = fetch_metrics(port=server.port)
-    assert metrics["requests_total"] == 2, metrics
-    assert metrics["cache"]["hits"] == 1 and metrics["cache"]["misses"] == 1, metrics
-    assert metrics["by_source"]["cached"] == 1 and metrics["by_source"]["cold"] == 1
-print("serve smoke OK: cold -> cache hit, metrics consistent, clean shutdown")
+    assert metrics["requests_total"] == 3, metrics
+    assert metrics["cache"]["hits"] == 2 and metrics["cache"]["misses"] == 1, metrics
+    assert metrics["by_source"]["cached"] == 2 and metrics["by_source"]["cold"] == 1
+print("serve smoke OK: cold -> cache hit -> permuted-copy hit remapped by name, "
+      "metrics consistent, clean shutdown")
 PY
 
 echo "== coalescing smoke (concurrent cold misses over HTTP) =="
@@ -183,11 +214,13 @@ PY
 
 echo "== router smoke (2 shards x 2 replicas, SIGKILL one mid-burst) =="
 # The replicated tier's acceptance bar, end-to-end with real shard
-# subprocesses: an armed shard_kill fault SIGKILLs a shard under the
-# router mid-burst, and every client request must still succeed (failover
-# + fingerprint-seeded determinism make the loss invisible).  The hard
-# timeout is the gate: a router that hangs on a dead shard instead of
-# failing over must fail fast.
+# subprocesses: an empty inline graph first must come back 422 with every
+# breaker still closed (a client error never counts against a shard), then
+# an armed shard_kill fault SIGKILLs a shard under the router mid-burst,
+# and every client request must still succeed (failover + fingerprint-
+# seeded determinism make the loss invisible).  The hard timeout is the
+# gate: a router that hangs on a dead shard instead of failing over must
+# fail fast.
 timeout --kill-after=30 300 env PYTHONPATH=src python - <<'PY'
 from repro.cli import _resolve_zoo_graph
 from repro.reliability import Fault, FaultPlan
@@ -208,6 +241,15 @@ router = ShardRouter.spawn(
     seed=0,
 )
 try:
+    empty = {
+        key: []
+        for key in ("names", "op_types", "compute_us", "output_bytes",
+                    "param_bytes", "src", "dst")
+    }
+    status, reply = router.handle_partition({"graph": empty, "chips": 4})
+    assert status == 422, (status, reply)
+    breakers = [s["breaker"]["state"] for s in router.metrics()["shards"].values()]
+    assert breakers == ["closed", "closed"], router.metrics()
     payload = {"graph": "mlp", "chips": 4, "samples": 4}
     replies = [router.handle_partition(payload) for _ in range(6)]
     assert all(status == 200 for status, _ in replies), replies
@@ -221,7 +263,8 @@ try:
     assert len(dead) == 1, metrics
 finally:
     router.close()
-print("router smoke OK: shard SIGKILLed, zero failed requests, failovers counted")
+print("router smoke OK: empty graph 422 with breakers closed; shard SIGKILLed, "
+      "zero failed requests, failovers counted")
 PY
 
 echo "== trace smoke (2-shard router, X-Repro-Trace end to end) =="

@@ -18,11 +18,19 @@ shape the scheme:
 
 The graph-level ``name`` is metadata, not content: a renamed but otherwise
 identical graph hits the same cache entry.
+
+The WL pass is pure Python and runs on every serving request, in the router
+and again in the shard.  :func:`canonical_form` therefore memoises it, keyed
+by a digest of exactly the bytes the pass reads: a graph that arrives again
+byte for byte, in the same node order, skips the WL rounds; anything else
+(a permuted copy included) takes the full pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +45,11 @@ _WL_ROUNDS = 3
 #: Bump when the canonical form changes — old cache/bench entries must not
 #: alias new ones.
 _FINGERPRINT_VERSION = 1
+
+#: Entries in the :func:`canonical_form` memo: four times the default
+#: 256-entry result cache, so a router in front of four shards still holds
+#: every shard's hot set.
+_MEMO_CAPACITY = 1024
 
 
 def _sha(*chunks: bytes) -> bytes:
@@ -64,6 +77,74 @@ def _node_payloads(graph: CompGraph) -> list[bytes]:
     ]
 
 
+def _content_key(graph: CompGraph) -> bytes:
+    """sha256 over exactly the bytes :func:`_wl_canonical_form` reads.
+
+    In the graph's own node order: the node and edge counts, every node
+    name's UTF-8 length, the names themselves, then the op types as int64,
+    ``compute_us``/``output_bytes``/``param_bytes`` as float64 and
+    ``src``/``dst`` as int64.  The counts and lengths make the encoding
+    unambiguous; the display ``name`` is left out, as the fingerprint
+    leaves it out.
+    """
+    names = [name.encode("utf-8") for name in graph.names]
+    h = hashlib.sha256(np.array([len(names), graph.src.size], dtype=np.int64))
+    h.update(np.array([len(name) for name in names], dtype=np.int64))
+    h.update(b"".join(names))
+    for values, dtype in (
+        (graph.op_types, np.int64),
+        (graph.compute_us, np.float64),
+        (graph.output_bytes, np.float64),
+        (graph.param_bytes, np.float64),
+        (graph.src, np.int64),
+        (graph.dst, np.int64),
+    ):
+        h.update(np.ascontiguousarray(values, dtype=dtype))
+    return h.digest()
+
+
+class _CanonicalMemo:
+    """Bounded LRU of ``(fingerprint, canonical order)`` by content key.
+
+    The result is a pure function of the keyed bytes, so an entry never
+    goes stale and only the capacity evicts.  Stored orders are read-only
+    and every caller gets its own copy.  Misses compute outside the lock;
+    two threads missing on one graph both compute the same answer.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._entries: "OrderedDict[bytes, tuple[str, np.ndarray]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def canonical_form(self, graph: CompGraph) -> "tuple[str, np.ndarray]":
+        key = _content_key(graph)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        if entry is None:
+            fp, order = _wl_canonical_form(graph)
+            order.setflags(write=False)
+            entry = (fp, order)
+            with self._lock:
+                self.misses += 1
+                self._entries[key] = entry
+                self._entries.move_to_end(key)
+                if len(self._entries) > self.capacity:
+                    self._entries.popitem(last=False)
+        return entry[0], entry[1].copy()
+
+
+_MEMO = _CanonicalMemo(_MEMO_CAPACITY)
+
+
 def canonical_form(graph: CompGraph) -> "tuple[str, np.ndarray]":
     """``(fingerprint, canonical node order)`` of a computation graph.
 
@@ -81,7 +162,17 @@ def canonical_form(graph: CompGraph) -> "tuple[str, np.ndarray]":
     then simply misses the cache instead of risking an ambiguous
     remapping.  All zoo/builder graphs have unique node names, so in
     practice order-invariance always holds.
+
+    Results are memoised by exact content (:func:`_content_key`), up to
+    ``_MEMO_CAPACITY`` graphs, least recently used evicted first; the
+    returned order is always the caller's own array.  Safe to call from
+    any number of threads.
     """
+    return _MEMO.canonical_form(graph)
+
+
+def _wl_canonical_form(graph: CompGraph) -> "tuple[str, np.ndarray]":
+    """The WL computation behind :func:`canonical_form`, unmemoised."""
     digests = _node_payloads(graph)
     src = graph.src.tolist()
     dst = graph.dst.tolist()

@@ -48,6 +48,8 @@ import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
+import numpy as np
+
 from repro.graphs.serialization import graph_from_dict
 from repro.obs.trace import TRACE_HEADER, activate, deactivate
 from repro.hardware.topology import make_topology
@@ -79,7 +81,9 @@ def request_from_payload(
     (``analytical``/``simulator``), ``samples``, ``checkpoint``,
     ``checkpoint_version``.  ``graph_resolver`` maps name strings to
     :class:`CompGraph` (the CLI passes the zoo table; inline dicts always
-    work).
+    work).  Every rejection is a :class:`ServiceError` (HTTP 422),
+    including a graph with no nodes or a non-finite ``compute_us``,
+    ``output_bytes`` or ``param_bytes`` value.
     """
     spec = payload.get("graph")
     if isinstance(spec, str):
@@ -102,6 +106,13 @@ def request_from_payload(
             raise ServiceError(f"bad inline graph: {exc}") from None
     else:
         raise ServiceError("payload must carry 'graph' (name or inline dict)")
+    # A graph no search can run on is the client's error: a 422 here,
+    # never a 500 that the router would count against a healthy shard.
+    if graph.n_nodes == 0:
+        raise ServiceError("graph has no nodes")
+    for attr in ("compute_us", "output_bytes", "param_bytes"):
+        if not np.isfinite(getattr(graph, attr)).all():
+            raise ServiceError(f"graph {attr} must be finite")
 
     try:
         n_chips = int(payload.get("chips", 4))

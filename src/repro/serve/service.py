@@ -674,6 +674,8 @@ class PartitionService:
             )
         if request.n_chips < 1:
             raise ServiceError("n_chips must be >= 1")
+        if request.graph.n_nodes == 0:
+            raise ServiceError("graph has no nodes")
         samples = self._samples(request)
         if samples < 1:
             raise ServiceError("samples must be >= 1")

@@ -1,5 +1,6 @@
 """Canonical graph fingerprints: stability, invariance, and sensitivity."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.graphs.zoo import (
 from repro.hardware.topology import BiRing, Crossbar, Mesh2D, UniRing
 from repro.serve.fingerprint import (
     PlatformDescriptor,
+    canonical_form,
     graph_fingerprint,
     request_fingerprint,
 )
@@ -228,3 +230,87 @@ class TestRequestFingerprint:
         assert request_fingerprint(graph, platform) == request_fingerprint(
             graph_fingerprint(graph), platform
         )
+
+
+def _twins(order: "list[str]"):
+    """The twin-node graph of ``tests/serve/test_service.py``: ``in`` feeds
+    two indistinguishable ``twin`` nodes that both feed ``out``, so the
+    fingerprint takes its order-sensitive fallback."""
+    spec = {
+        "in": (OpType.INPUT, 0.0),
+        "t1": (OpType.RELU, 1.0),
+        "t2": (OpType.RELU, 1.0),
+        "out": (OpType.MATMUL, 9.0),
+    }
+    b = GraphBuilder("twins")
+    ids = {}
+    for name in order:
+        op, cost = spec[name]
+        ids[name] = b.add_node(
+            "twin" if name in ("t1", "t2") else name,
+            op, compute_us=cost, output_bytes=32.0,
+        )
+    for s, d in [("in", "t1"), ("in", "t2"), ("t1", "out"), ("t2", "out")]:
+        b.add_edge(ids[s], ids[d])
+    return b.build()
+
+
+def _one_node():
+    b = GraphBuilder("single")
+    b.add_node("only", OpType.MATMUL, compute_us=3.0, output_bytes=64.0,
+               param_bytes=128.0)
+    return b.build()
+
+
+_GOLDEN_GRAPHS = {
+    **ZOO_BUILDERS,
+    "dag-0-10": lambda: random_dag(0, 10),
+    "dag-7-23": lambda: random_dag(7, 23),
+    "dag-42-40": lambda: random_dag(42, 40, edge_prob=0.1),
+    "twins": lambda: _twins(["in", "t1", "t2", "out"]),
+    "twins-permuted": lambda: _twins(["out", "in", "t1", "t2"]),
+    "one-node": _one_node,
+}
+
+#: sha256 over ``fingerprint | canonical order as little-endian int64``
+#: per graph.  Fingerprints key the ``--cache-dir`` journals and the
+#: router's hash ring, so a change to any of these values must come with
+#: a ``_FINGERPRINT_VERSION`` bump, never a silent re-record.
+_GOLDEN = {
+    "autoencoder": "ee3995d550af8422ccfea295d2de4f6f45bd225492862b5e15a611fbffebe457",
+    "bert-small": "1494f54ec839f031b9b5a2cf55806286a3155a94a1d85e2f9b94581913924073",
+    "cnn": "ec39ce483f056a0b6f326f210e13f7705e3ce8ae1e342d70dbea2168ac7eb44c",
+    "dag-0-10": "3745380bd2d7dbe52d1130a5e77b4fb1fa7fc6f3f7c667420e4a9f171a3c764f",
+    "dag-42-40": "b2fb8827e01cbc79ba433dfa731127aebb5952c49fe342bdc9b5ab611b3e9ea8",
+    "dag-7-23": "0e5a8d813264c305815e83253758b0181360c9a772cd5dfe8fbf59fdfdd928f0",
+    "decoder": "4428070e4fe8bc610be457f6a8398521f3ee45e9e4397c7720b43c42c8d97811",
+    "gru": "bc6d862ed4b2d9c483b9b5e7736c515185583c920d99043f656031b9c767c964",
+    "inception": "18b71ee43f953f3d2fb67d5480eaa708abc8d64b95603f4eee55cd837d44c82b",
+    "lstm": "195528598e2986c5ffcb69e08b2863d74b497c69aa7ad0a108e7a08fd67d8f7d",
+    "mlp": "b2cded9a99bbad5200eeec2df3b32780adfee42504c7b230ecc1a953c0b49d08",
+    "mobilenet": "4c0655774c06f623c2aa7695c3ad67eaed08a2c5c53c8d001118e6525f7a4295",
+    "one-node": "0ecba01bcef6940fd623c4875c676f470fd45ef97138d1e30eb2a20452325cad",
+    "resnet": "42cf93805bdabf6765073cd56f6d5c95f0f67d19b40234c0bf55ad7642fbaafa",
+    "twins": "0056e0dbffe15b972d7aaffc883f7bb6ade46aadc32d0bd4fbddd6446ca86c70",
+    "twins-permuted": "e5ce7783dacabee37c76ae9f1f4245f1dae89b471ffc8fa5e56e374d09b9e530",
+    "unet": "2d9f4fd1f682af8c7b26bcc536fd18851331f6931056fed6693414d2d0f13c58",
+}
+
+
+def _canonical_digest(graph) -> str:
+    fp, order = canonical_form(graph)
+    return hashlib.sha256(
+        fp.encode("ascii") + b"|" + np.asarray(order, dtype="<i8").tobytes()
+    ).hexdigest()
+
+
+class TestGolden:
+    def test_every_golden_graph_is_pinned(self):
+        assert sorted(_GOLDEN) == sorted(_GOLDEN_GRAPHS)
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_GRAPHS))
+    def test_canonical_form_matches_golden(self, name):
+        """First call and repeat (a memo hit) both give the pinned bits."""
+        graph = _GOLDEN_GRAPHS[name]()
+        assert _canonical_digest(graph) == _GOLDEN[name]
+        assert _canonical_digest(graph) == _GOLDEN[name]

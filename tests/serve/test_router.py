@@ -29,6 +29,12 @@ from tests.serve.conftest import tiny_service
 
 _RESOLVER = {"mlp": build_mlp, "cnn": build_cnn}
 
+_EMPTY_GRAPH = {
+    key: []
+    for key in ("names", "op_types", "compute_us", "output_bytes",
+                "param_bytes", "src", "dst")
+}
+
 
 def _payload(graph="mlp", chips=4, samples=4, **extra):
     payload = {
@@ -186,12 +192,24 @@ class TestRoutingKey:
             }
             assert len(keys) == 4  # everything result-relevant is folded in
 
-    def test_bad_request_is_422_not_routed(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [{"chips": 4}, {"graph": _EMPTY_GRAPH, "chips": 4}],
+        ids=["no-graph", "empty-graph"],
+    )
+    def test_bad_request_is_422_not_routed(self, bad):
         with _Cluster() as c:
-            status, reply = c.router.handle_partition({"chips": 4})
-            assert status == 422
-            assert "graph" in reply["error"]
-            assert c.router.metrics()["client_errors"] == 1
+            for _ in range(3):  # failure_threshold: would open a breaker
+                status, reply = c.router.handle_partition(bad)
+                assert status == 422
+                assert "graph" in reply["error"]
+            m = c.router.metrics()
+            assert m["client_errors"] == 3
+            assert {s["breaker"]["state"] for s in m["shards"].values()} == {
+                "closed"
+            }
+            status, reply = c.router.handle_partition(_payload())
+            assert status == 200 and not reply["degraded"]
 
 
 class TestFailover:

@@ -189,6 +189,24 @@ class TestErrorHandling:
         assert "''" not in str(exc_info.value)
         assert "registry" in str(exc_info.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(None, None), ("compute_us", float("nan")),
+         ("output_bytes", float("inf")), ("param_bytes", float("-inf"))],
+        ids=["empty", "nan-compute", "inf-output", "neg-inf-param"],
+    )
+    def test_unsearchable_inline_graph_is_422(self, server, field, value):
+        """An empty graph, or one with a non-finite cost, is the client's
+        error: a 422 before any search, not a 500 from inside it."""
+        graph = graph_to_dict(build_mlp())
+        if field is None:
+            graph = {k: [] if isinstance(v, list) else v for k, v in graph.items()}
+        else:
+            graph[field][0] = value
+        with pytest.raises(ServiceError, match="422.*graph"):
+            request_partition({"graph": graph, "chips": 4}, port=server.port)
+        assert fetch_metrics(port=server.port)["requests_total"] == 0
+
     def test_bad_chips_is_422(self, server):
         with pytest.raises(ServiceError, match="422"):
             request_partition(

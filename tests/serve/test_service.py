@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graphs.serialization import load_graph, save_graph
+from repro.graphs.serialization import (
+    graph_from_dict,
+    graph_to_dict,
+    load_graph,
+    save_graph,
+)
 from repro.graphs.zoo import build_cnn, build_mlp
 from repro.hardware.topology import Mesh2D
 from repro.serve import (
@@ -377,6 +382,16 @@ class TestErrors:
         with pytest.raises(ServiceError):
             service.submit(PartitionRequest(graph=build_mlp(), n_chips=0))
         assert service.metrics()["errors"] == 1
+
+    def test_empty_graph(self, service):
+        """An in-process caller gets the same ServiceError the HTTP path
+        answers 422 with, not an IndexError from the greedy baseline."""
+        wire = graph_to_dict(build_mlp())
+        empty = graph_from_dict(
+            {k: [] if isinstance(v, list) else v for k, v in wire.items()}
+        )
+        with pytest.raises(ServiceError, match="no nodes"):
+            service.submit(PartitionRequest(graph=empty))
 
 
 class TestMetrics:
